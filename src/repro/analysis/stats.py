@@ -26,7 +26,9 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+
+# scipy.stats (~0.8 s to import) loads inside the two functions that call
+# it: repro.pex imports wilson_interval, and evaluation never needs stats.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +112,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("wilson_interval() needs trials >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
+    from scipy import stats as scipy_stats
     z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -148,6 +151,7 @@ def compare_samples(a: Sequence[float], b: Sequence[float],
     arr_b = arr_b[np.isfinite(arr_b)]
     if arr_a.size == 0 or arr_b.size == 0:
         raise ValueError("compare_samples() needs non-empty finite samples")
+    from scipy import stats as scipy_stats
     result = scipy_stats.mannwhitneyu(arr_a, arr_b, alternative=alternative)
     return ComparisonResult(
         statistic=float(result.statistic),

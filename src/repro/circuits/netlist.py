@@ -9,12 +9,13 @@ performs at parse time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.circuits.elements import Capacitor, CurrentSource, Element
 from repro.errors import NetlistError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: The global reference node.  ``"gnd"`` is accepted as an alias.
 GROUND = "0"
@@ -105,22 +106,29 @@ class Netlist:
         return tuple((type(e), e.name, e.nodes) for e in self)
 
     # -- structural checks ------------------------------------------------------
+    def _terminal_edges(self, dc_only: bool) -> Iterator[tuple[str, str, str]]:
+        """``(node, node, element name)`` per element terminal pair, each
+        element's terminals chained in order.  With ``dc_only`` capacitors
+        (open at DC) and current sources are skipped: a current source
+        enforces a current, not a potential, so it does not anchor a node's
+        DC voltage on its own."""
+        for element in self:
+            if dc_only and isinstance(element, (Capacitor, CurrentSource)):
+                continue
+            terminals = element.nodes
+            for a, b in zip(terminals, terminals[1:]):
+                yield a, b, element.name
+
     def connectivity_graph(self, dc_only: bool = False) -> nx.Graph:
         """Graph with one vertex per node and one edge per element terminal
-        pair.  With ``dc_only`` capacitors (which are open at DC) are skipped."""
+        pair.  With ``dc_only`` capacitors and current sources are skipped."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node(GROUND)
         graph.add_nodes_from(self.nodes())
-        for element in self:
-            if dc_only and isinstance(element, Capacitor):
-                continue
-            if dc_only and isinstance(element, CurrentSource):
-                # A current source enforces a current, not a potential; it
-                # does not anchor a node's DC voltage on its own.
-                continue
-            terminals = [n for n in element.nodes]
-            for a, b in zip(terminals, terminals[1:]):
-                graph.add_edge(a, b, element=element.name)
+        for a, b, name in self._terminal_edges(dc_only):
+            graph.add_edge(a, b, element=name)
         return graph
 
     def validate(self) -> None:
@@ -138,8 +146,17 @@ class Netlist:
             all_nodes.update(element.nodes)
         if GROUND not in all_nodes:
             raise NetlistError(f"netlist {self.title!r} never references ground")
-        graph = self.connectivity_graph(dc_only=True)
-        reachable = nx.node_connected_component(graph, GROUND)
+        neighbours: dict[str, list[str]] = {}
+        for a, b, _ in self._terminal_edges(dc_only=True):
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+        reachable = {GROUND}
+        frontier = [GROUND]
+        while frontier:
+            for other in neighbours.get(frontier.pop(), ()):
+                if other not in reachable:
+                    reachable.add(other)
+                    frontier.append(other)
         floating = sorted(self.nodes() - reachable)
         if floating:
             raise NetlistError(

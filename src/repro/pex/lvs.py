@@ -18,7 +18,7 @@ designs").
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.circuits.elements import (
     Capacitor,
@@ -33,6 +33,9 @@ from repro.circuits.elements import (
 from repro.circuits.mosfet import Mosfet
 from repro.circuits.netlist import Netlist
 from repro.errors import LvsError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Terminal role names per element class (edge labels in the LVS graph).
 _TERMINALS: dict[type, tuple[str, ...]] = {
@@ -125,6 +128,8 @@ def _reclone(element: Element, nodes: list[str]) -> Element:
 
 def netlist_graph(netlist: Netlist) -> nx.Graph:
     """Bipartite device/net graph with LVS labels."""
+    import networkx as nx
+
     graph = nx.Graph()
     for element in netlist:
         terminals = _TERMINALS.get(type(element))
@@ -150,6 +155,8 @@ def netlist_graph(netlist: Netlist) -> nx.Graph:
 def lvs_compare(schematic: Netlist, extracted: Netlist,
                 parasitic_prefix: str = "PEX_") -> bool:
     """True when the extracted netlist implements the schematic exactly."""
+    import networkx as nx
+
     reduced = reduce_extracted(extracted, parasitic_prefix)
     g_sch = netlist_graph(schematic)
     g_lay = netlist_graph(reduced)
