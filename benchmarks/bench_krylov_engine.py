@@ -22,6 +22,11 @@ Four timings per (engine, mesh) configuration:
 * ``ac``   — one fresh AC sweep over the topology's frequency grid
   (per-point ``splu`` refactorisation vs one shared ILU anchor).
 
+Plus one memory figure per configuration: ``peak_mb``, the
+``tracemalloc`` peak of building the system and running its first
+evaluation (the sparse legs hold O(nnz) data, never an ``n x n``
+array, so this grows linearly with the mesh).
+
 Run directly::
 
     python benchmarks/bench_krylov_engine.py
@@ -38,6 +43,7 @@ import os
 import pathlib
 import sys
 import time
+import tracemalloc
 
 sys.path[:0] = [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
                 str(pathlib.Path(__file__).resolve().parent)]
@@ -81,18 +87,25 @@ class _SolveTimer:
 
 def _bench_engine(engine: str, grid_n: int, n_evals: int, rng
                   ) -> tuple[dict, int]:
-    """Timings dict (``eval``/``dc``/``dcsol``/``ac`` seconds) for one
-    engine."""
+    """Timings dict (``eval``/``dc``/``dcsol``/``ac`` seconds, plus the
+    ``peak_mb`` of build + first evaluation) for one engine."""
     os.environ["REPRO_ENGINE"] = engine
     try:
-        topo = PowerGridOta(grid_n=grid_n, n_amps=4)
-        space = topo.parameter_space
-        center = np.asarray(space.center)
-        sizings = []
-        for _ in range(n_evals):
-            jitter = rng.integers(-2, 3, size=len(space))
-            sizings.append(space.values(space.clip(center + jitter)))
-        topo.simulate(sizings[0])            # build + warm the plan
+        # Build + first evaluation under tracemalloc (stopped before any
+        # timing: tracing slows every allocation).
+        tracemalloc.start()
+        try:
+            topo = PowerGridOta(grid_n=grid_n, n_amps=4)
+            space = topo.parameter_space
+            center = np.asarray(space.center)
+            sizings = []
+            for _ in range(n_evals):
+                jitter = rng.integers(-2, 3, size=len(space))
+                sizings.append(space.values(space.clip(center + jitter)))
+            topo.simulate(sizings[0])        # build + warm the plan
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         size = topo._plan.system.size
 
         t0 = time.perf_counter()
@@ -123,7 +136,7 @@ def _bench_engine(engine: str, grid_n: int, n_evals: int, rng
             ac_sweep(system, opk, freqs)
         t_ac = (time.perf_counter() - t0) / n_evals
         return {"eval": t_eval, "dc": t_dc, "dcsol": t_dcsol,
-                "ac": t_ac}, size
+                "ac": t_ac, "peak_mb": peak / 1e6}, size
     finally:
         os.environ.pop("REPRO_ENGINE", None)
 
@@ -148,6 +161,8 @@ def main() -> None:
             entry[f"sparse_{phase}_ms"] = sparse[phase] * 1e3
             entry[f"iterative_{phase}_ms"] = iterative[phase] * 1e3
             entry[f"{phase}_speedup"] = sparse[phase] / iterative[phase]
+        entry["sparse_peak_mb"] = sparse["peak_mb"]
+        entry["iterative_peak_mb"] = iterative["peak_mb"]
         record["configs"].append(entry)
         rows.append((f"{grid_n}x{grid_n}", size, sparse, iterative))
 
@@ -179,6 +194,12 @@ def main() -> None:
                 f"{sparse[phase] * 1e3:>8.1f}ms "
                 f"{iterative[phase] * 1e3:>8.1f}ms "
                 f"{sparse[phase] / iterative[phase]:>7.2f}x")
+    lines.append("build + first evaluation, tracemalloc peak")
+    lines.append(f"{'mesh':<10} {'unknowns':>8} {'sparse':>10} "
+                 f"{'iterative':>10}")
+    for name, size, sparse, iterative in rows:
+        lines.append(f"{name:<10} {size:>8d} {sparse['peak_mb']:>8.1f}MB "
+                     f"{iterative['peak_mb']:>8.1f}MB")
     if record["measured_crossover_unknowns"] is not None:
         lines.append(f"measured crossover: iterative wins warm evals from "
                      f"{record['measured_crossover_unknowns']} unknowns")

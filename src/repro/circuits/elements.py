@@ -19,6 +19,11 @@ The simulator hands each element a *stamper* object exposing:
 ``stamper.add_b_dc(i, value)`` / ``stamper.add_b_ac(i, value)``
     Accumulate into the DC / AC excitation vectors.
 
+A stamp must make the same ``add_*`` calls at the same positions for
+every value of the element: the simulator records the positions once
+per netlist structure and afterwards only reads
+:meth:`Element.stamp_values` (the written values, in call order).
+
 Linear elements implement :meth:`Element.stamp`.  Nonlinear devices (the
 MOSFET) additionally set ``is_nonlinear`` and implement
 ``eval_companion`` — see :mod:`repro.circuits.mosfet`.
@@ -81,12 +86,47 @@ class Element:
         """
         return None
 
+    def stamp_values(self) -> tuple[float, ...]:
+        """The values :meth:`stamp` writes, one per ``add_*`` call, in
+        call order (ground-skipped calls included).
+
+        The default replays :meth:`stamp`; built-in elements override it
+        with the same arithmetic, which the stamp tests pin call for call.
+        """
+        recorder = _ValueRecorder()
+        self.stamp(recorder)
+        return tuple(recorder.values)
+
     def noise_sources(self, op) -> list[NoiseSource]:
         """Return this element's noise current sources at operating point ``op``."""
         return []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name}, nodes={self.nodes})"
+
+
+class _ValueRecorder:
+    """Stamper that keeps only the stamped values (see
+    :meth:`Element.stamp_values`)."""
+
+    def __init__(self):
+        self.values: list[float] = []
+
+    def node(self, name: str) -> int:
+        return 0
+
+    def branch(self, element: Element) -> int:
+        return 0
+
+    def add_g(self, i: int, j: int, value: float) -> None:
+        self.values.append(value)
+
+    add_c = add_g
+
+    def add_b_dc(self, i: int, value: float) -> None:
+        self.values.append(value)
+
+    add_b_ac = add_b_dc
 
 
 class TwoTerminal(Element):
@@ -124,6 +164,10 @@ class Resistor(TwoTerminal):
     def stamp_key(self):
         return self.resistance
 
+    def stamp_values(self) -> tuple[float, ...]:
+        g = 1.0 / self.resistance
+        return (g, g, -g, -g)
+
     def noise_sources(self, op) -> list[NoiseSource]:
         psd = 4.0 * BOLTZMANN * op.temperature / self.resistance
 
@@ -145,6 +189,10 @@ class Capacitor(TwoTerminal):
 
     def stamp_key(self):
         return self.capacitance
+
+    def stamp_values(self) -> tuple[float, ...]:
+        c = self.capacitance
+        return (c, c, -c, -c)
 
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.p), stamper.node(self.n)
@@ -173,6 +221,9 @@ class Inductor(TwoTerminal):
     def stamp_key(self):
         return self.inductance
 
+    def stamp_values(self) -> tuple[float, ...]:
+        return (1.0, -1.0, 1.0, -1.0, -self.inductance)
+
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.p), stamper.node(self.n)
         k = stamper.branch(self)
@@ -200,6 +251,9 @@ class VoltageSource(TwoTerminal):
     def stamp_key(self):
         return (self.dc, self.ac)
 
+    def stamp_values(self) -> tuple[float, ...]:
+        return (1.0, -1.0, 1.0, -1.0, self.dc, self.ac)
+
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.p), stamper.node(self.n)
         k = stamper.branch(self)
@@ -208,8 +262,7 @@ class VoltageSource(TwoTerminal):
         stamper.add_g(k, i, 1.0)
         stamper.add_g(k, j, -1.0)
         stamper.add_b_dc(k, self.dc)
-        if self.ac:
-            stamper.add_b_ac(k, self.ac)
+        stamper.add_b_ac(k, self.ac)
 
 
 class CurrentSource(TwoTerminal):
@@ -225,13 +278,15 @@ class CurrentSource(TwoTerminal):
     def stamp_key(self):
         return (self.dc, self.ac)
 
+    def stamp_values(self) -> tuple[float, ...]:
+        return (-self.dc, self.dc, -self.ac, self.ac)
+
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.p), stamper.node(self.n)
         stamper.add_b_dc(i, -self.dc)
         stamper.add_b_dc(j, self.dc)
-        if self.ac:
-            stamper.add_b_ac(i, -self.ac)
-            stamper.add_b_ac(j, self.ac)
+        stamper.add_b_ac(i, -self.ac)
+        stamper.add_b_ac(j, self.ac)
 
 
 class Vccs(Element):
@@ -248,6 +303,10 @@ class Vccs(Element):
 
     def stamp_key(self):
         return self.gm
+
+    def stamp_values(self) -> tuple[float, ...]:
+        gm = self.gm
+        return (gm, -gm, -gm, gm)
 
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.nodes[0]), stamper.node(self.nodes[1])
@@ -273,6 +332,9 @@ class Vcvs(Element):
 
     def stamp_key(self):
         return self.gain
+
+    def stamp_values(self) -> tuple[float, ...]:
+        return (1.0, -1.0, 1.0, -1.0, -self.gain, self.gain)
 
     def stamp(self, stamper) -> None:
         i, j = stamper.node(self.nodes[0]), stamper.node(self.nodes[1])

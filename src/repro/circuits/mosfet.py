@@ -341,6 +341,12 @@ class Mosfet(Element):
 # Vectorised (array) evaluation
 # ---------------------------------------------------------------------------
 
+#: Device-card fields a :class:`DeviceArrays` bank reads, in the order
+#: :meth:`DeviceArrays.from_devices` unpacks them.
+_CARD_FIELDS = ("kp", "lambda_l", "vth0", "body_k", "subthreshold_v", "cox",
+                "c_overlap", "c_junction", "gamma_noise", "kf")
+
+
 @dataclasses.dataclass(frozen=True)
 class DeviceArrays:
     """Per-device constants of K MOSFETs, stacked into arrays.
@@ -370,25 +376,36 @@ class DeviceArrays:
     @classmethod
     def from_mosfets(cls, mosfets: Sequence["Mosfet"]) -> "DeviceArrays":
         """Stack the constants of ``mosfets`` (one row per device)."""
-        rows = [(m.params.kp * m.w * m.m / m.l,
-                 m.params.lambda_l / m.l,
-                 m.params.vth0,
-                 m.params.body_k,
-                 m.params.subthreshold_v,
-                 m._sign,
-                 m.params.cox * m.w * m.l * m.m,
-                 m.params.c_overlap * m.w * m.m,
-                 m.params.c_junction * m.w * m.m,
-                 m.params.gamma_noise,
-                 m.params.kf) for m in mosfets]
-        cols = np.array(rows, dtype=float).reshape(len(rows), 11).T
-        return cls(*cols, 1.0 / cols[4], cols[1] * _CLM_SMOOTH_V)
+        return cls.from_devices(
+            [m.params for m in mosfets],
+            [(m.w, m.l, m.m, m._sign) for m in mosfets])
 
     @classmethod
-    def stack(cls, banks: Sequence["DeviceArrays"]) -> "DeviceArrays":
-        """Stack B single-design banks into one ``(B, K)`` bank."""
-        return cls(*(np.stack([getattr(b, f.name) for b in banks])
-                     for f in dataclasses.fields(cls)))
+    def from_devices(cls, cards: Sequence, geometry: Sequence[tuple],
+                     shape: tuple[int, ...] | None = None) -> "DeviceArrays":
+        """Bank of devices given by their technology ``cards`` and
+        ``(w, l, m, sign)`` ``geometry`` rows.
+
+        Each distinct card object is read once and the width/length
+        composites are computed in one vectorised pass, so a flat list of
+        ``S * K`` devices reshaped to ``shape=(S, K)`` is the stacked bank
+        of S designs.
+        """
+        slot: dict[int, int] = {}
+        which = [slot.setdefault(id(c), len(slot)) for c in cards]
+        distinct = {id(c): c for c in cards}.values()
+        card = np.array([[getattr(c, f) for f in _CARD_FIELDS]
+                         for c in distinct], dtype=float)
+        (kp, lambda_l, vth0, body_k, subth, cox, c_overlap, c_junction,
+         gamma_n, kf) = card.reshape(-1, len(_CARD_FIELDS))[which].T
+        w, l, m, sign = np.array(geometry, dtype=float).reshape(-1, 4).T
+        lam = lambda_l / l
+        bank = cls(kp * w * m / l, lam, vth0, body_k, subth, sign,
+                   cox * w * l * m, c_overlap * w * m, c_junction * w * m,
+                   gamma_n, kf, 1.0 / subth, lam * _CLM_SMOOTH_V)
+        if shape is None:
+            return bank
+        return cls(*(getattr(bank, f).reshape(shape) for f in _BANK_FIELDS))
 
     def take(self, idx) -> "DeviceArrays":
         """Row-subset of a stacked ``(B, K)`` bank (fancy indexing)."""
@@ -397,6 +414,10 @@ class DeviceArrays:
 
     def __len__(self) -> int:
         return self.beta.shape[-1]
+
+
+#: Field names of :class:`DeviceArrays`, in declaration order.
+_BANK_FIELDS = tuple(f.name for f in dataclasses.fields(DeviceArrays))
 
 
 @dataclasses.dataclass(frozen=True)

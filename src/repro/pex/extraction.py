@@ -523,38 +523,54 @@ class PexSimulator(CircuitSimulator):
         build + extract.
         """
         rules = self.extractor.rules
+        cap_prefix = f"{PEX_PREFIX}C_"
+        mesh = rules.mesh_segments
+        # Element handles of the plan's extracted netlist, resolved on
+        # first use (its structure never changes in place).
+        handles: dict = {"net": None}
+
+        def wire(extracted: Netlist, net: str):
+            if mesh > 0:
+                return tuple(
+                    (extracted[f"{PEX_PREFIX}RW_{net}__{k}"],
+                     extracted[f"{cap_prefix}{net}__{k}"])
+                    for k in range(1, mesh + 1))
+            return extracted[f"{cap_prefix}{net}"]
 
         def update(extracted: Netlist, values: dict[str, float]) -> bool:
             if not topology.update_netlist(extracted, values):
                 return False
-            cap_prefix = f"{PEX_PREFIX}C_"
-            mesh = rules.mesh_segments
-            n_caps = 0
             try:
-                for element in extracted:
-                    if isinstance(element, Mosfet):
-                        r_acc = max(
-                            rules.r_access_ohm_m / (element.w * element.m),
-                            rules.r_access_min)
-                        name = element.name
-                        extracted[f"{PEX_PREFIX}R_{name}_d"].resistance = r_acc
-                        extracted[f"{PEX_PREFIX}R_{name}_s"].resistance = r_acc
-                    elif element.name.startswith(cap_prefix):
-                        n_caps += 1
+                if handles["net"] is not extracted:
+                    handles.update(
+                        net=extracted, wires={},
+                        access=[(e, extracted[f"{PEX_PREFIX}R_{e.name}_d"],
+                                 extracted[f"{PEX_PREFIX}R_{e.name}_s"])
+                                for e in extracted if isinstance(e, Mosfet)],
+                        n_caps=sum(e.name.startswith(cap_prefix)
+                                   for e in extracted))
+                for mosfet, r_d, r_s in handles["access"]:
+                    r_acc = max(
+                        rules.r_access_ohm_m / (mosfet.w * mosfet.m),
+                        rules.r_access_min)
+                    r_d.resistance = r_acc
+                    r_s.resistance = r_acc
                 pars = self._wire_parasitics(values)
-                if len(pars) * max(mesh, 1) != n_caps:
+                if len(pars) * max(mesh, 1) != handles["n_caps"]:
                     # A wire cap appeared or vanished: structure changed.
                     return False
+                wires = handles["wires"]
                 for net, (c_net, r_net) in pars.items():
+                    elements = wires.get(net)
+                    if elements is None:
+                        elements = wires[net] = wire(extracted, net)
                     if mesh > 0:
                         r_seg, c_seg = mesh_segment_values(r_net, c_net, mesh)
-                        for k in range(1, mesh + 1):
-                            extracted[
-                                f"{PEX_PREFIX}RW_{net}__{k}"].resistance = r_seg
-                            extracted[
-                                f"{cap_prefix}{net}__{k}"].capacitance = c_seg
+                        for r_el, c_el in elements:
+                            r_el.resistance = r_seg
+                            c_el.capacitance = c_seg
                     else:
-                        extracted[f"{cap_prefix}{net}"].capacitance = c_net
+                        elements.capacitance = c_net
             except KeyError:
                 return False
             return True

@@ -30,7 +30,7 @@ from repro.circuits.mosfet import Mosfet
 from repro.circuits.netlist import Netlist
 from repro.core.reward import RewardSpec, compute_reward
 from repro.errors import ConvergenceError, MeasurementError, TopologyError
-from repro.sim.batch import SystemStack, solve_dc_batch
+from repro.sim.batch import solve_dc_batch
 from repro.sim.dc import OperatingPoint, solve_dc
 from repro.sim.stamp import StampPlan
 from repro.sim.system import MnaSystem
@@ -160,15 +160,15 @@ class MonteCarloAnalysis:
         """Yield lists of per-trial spec dicts (None = failed trial).
 
         Trials share the netlist structure (mismatch only perturbs device
-        cards), so each chunk of perturbed netlists restamps into one
-        :class:`~repro.sim.batch.SystemStack` and solves with a single
-        batched Newton — the same sample-stacked slices the corner-stacked
-        PEX sweep uses.  When the topology has a stacked measurement path
-        (``measure_batch``), converged trials are measured in one stacked
-        call too; trials whose batched solve fails — or whose stacked
-        measurement reports the pessimistic failure value — are retried
-        with the scalar solver (full gmin/source machinery) before being
-        declared failed.
+        cards), so each chunk of perturbed netlists fills one
+        :class:`~repro.sim.batch.SystemStack` in one pass and solves with
+        a single batched Newton — the same sample-stacked slices the
+        corner-stacked PEX sweep uses.  When the topology has a stacked
+        measurement path (``measure_batch``), converged trials are
+        measured in one stacked call too; trials whose batched solve
+        fails — or whose stacked measurement reports the pessimistic
+        failure value — are retried with the scalar solver (full
+        gmin/source machinery) before being declared failed.
         """
         plan = StampPlan(self.topology.build,
                          temperature=self.topology.temperature)
@@ -181,12 +181,7 @@ class MonteCarloAnalysis:
                 netlist = self.topology.build(values)
                 apply_mismatch(netlist, self.model, rng)
                 netlists.append(netlist)
-            stack = None
-            for i, netlist in enumerate(netlists):
-                system = plan.restamp_netlist(netlist)
-                if stack is None:
-                    stack = SystemStack(system, chunk)
-                stack.set_design(i, system, values=values)
+            stack = plan.stack_netlists(netlists, values)
             result = solve_dc_batch(stack)
             stacked = self.topology.measure_batch(stack, result)
             batch: list[dict[str, float] | None] = []

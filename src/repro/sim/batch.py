@@ -7,11 +7,12 @@ one topology at once amortises that overhead — device models evaluate on
 ``(B, K)`` arrays, companion stamps scatter through one matmul, and the
 linear solves run as one batched ``numpy.linalg.solve`` over ``(B, n, n)``.
 
-:class:`SystemStack` collects restamped :class:`~repro.sim.system.MnaSystem`
-snapshots; :func:`solve_dc_batch` mirrors :func:`~repro.sim.dc.solve_dc`'s
-strategy — damped Newton, then gmin stepping, then source stepping — with
-per-design convergence masking, so converged designs drop out of the
-batched linear algebra while stragglers keep iterating.
+:class:`SystemStack` holds the stacked value arrays of same-structure
+:class:`~repro.sim.system.MnaSystem` slices; :func:`solve_dc_batch`
+mirrors :func:`~repro.sim.dc.solve_dc`'s strategy — damped Newton, then
+gmin stepping, then source stepping — with per-design convergence
+masking, so converged designs drop out of the batched linear algebra
+while stragglers keep iterating.
 
 Stacked-evaluation contract
 ---------------------------
@@ -29,9 +30,9 @@ snapshot.  What a slice means is the caller's business:
   sizing (one slice per draw).
 
 All three ride the same ``(B·K, n, n)`` damped-Newton solve and the same
-stacked measurement layer.  Per-slice metadata captured at
-:meth:`SystemStack.set_design` time — simulation temperature, the sizing
-``values`` dict, resistor thermal-noise constants — lets batched
+stacked measurement layer.  Per-slice metadata captured with the values
+— simulation temperature, the sizing ``values`` dict, resistor
+thermal-noise constants — lets batched
 measurements (AC, step response, noise) run without ever re-binding the
 template system to an individual slice.
 """
@@ -42,8 +43,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuits.elements import Resistor
 from repro.circuits.mosfet import (
+    _BANK_FIELDS,
     DeviceArrays,
     eval_companion_batch,
     eval_ids_batch,
@@ -58,22 +59,25 @@ _SOURCE_STEPS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 class SystemStack:
-    """Same-structure MNA system snapshots stacked into batch arrays.
+    """Same-structure MNA system slices stacked into batch arrays.
 
-    Built by restamping one template :class:`MnaSystem` per slice and
-    snapshotting its value arrays; the (shared) structure — terminal maps,
-    scatter matrices, sizes — is referenced from the template.
+    Filled either in one pass from per-slice element reads
+    (:meth:`repro.sim.stamp.StampPlan.stack`, see
+    :mod:`repro.sim.assembly`) or slice by slice from a bound system
+    (:meth:`set_design`); the (shared) structure — terminal maps, scatter
+    matrices, sizes — is referenced from the template.
 
     ``n_designs`` counts *slices*.  A multi-corner stack flattens the
     (design, corner) grid corner-major into ``n_designs = B * K`` slices
     and records ``n_corners = K`` so the caller can reduce spec arrays
     over the corner axis (see the module docstring for the contract).
 
-    Besides the ``G/C/b`` value arrays, each :meth:`set_design` captures
-    per-slice measurement metadata: the slice's simulation temperature,
-    an optional sizing ``values`` dict, and the thermal-noise PSD constant
-    ``4 k T / R`` of every resistor — everything the batched measurement
-    layer needs that is not derivable from the matrices alone.
+    Besides the ``G/C/b`` value arrays and the ``(B, K)`` device bank,
+    each slice carries measurement metadata: the slice's simulation
+    temperature, an optional sizing ``values`` dict, and the
+    thermal-noise PSD constant ``4 k T / R`` of every resistor —
+    everything the batched measurement layer needs that is not derivable
+    from the matrices alone.
     """
 
     def __init__(self, template: MnaSystem, n_designs: int,
@@ -89,7 +93,7 @@ class SystemStack:
         self.n_nodes = template.n_nodes
         self.n_designs = n_designs
         self.n_corners = n_corners
-        #: Sparse-engine stacks snapshot master-pattern ``.data`` rows
+        #: Sparse-engine stacks hold master-pattern ``.data`` rows
         #: (``(B, nnz)``) instead of dense ``(B, n, n)`` matrices; dense
         #: consumers go through :meth:`G_rows`/:meth:`C_rows`, which
         #: reconstruct on demand (cheap at the sizes where they run).
@@ -99,25 +103,28 @@ class SystemStack:
             self.G = self.C = None
             self.G_pat = np.empty((n_designs, nnz))
             self.C_pat = np.empty((n_designs, nnz))
+            self._Gv, self._Cv = self.G_pat, self.C_pat
         else:
             self.G = np.empty((n_designs, n, n))
             self.C = np.empty((n_designs, n, n))
+            self._Gv = self.G.reshape(n_designs, n * n)
+            self._Cv = self.C.reshape(n_designs, n * n)
         self.b_dc = np.empty((n_designs, n))
         self.b_ac = np.empty((n_designs, n), dtype=complex)
         self.temperatures = np.empty(n_designs)
         self.values: list[dict | None] = [None] * n_designs
-        self._devs: list[DeviceArrays | None] = [None] * n_designs
-        self.dev: DeviceArrays | None = None
-        self._filled = 0
+        K = len(template.mosfets)
+        self.dev: DeviceArrays | None = (
+            DeviceArrays(*(np.empty((n_designs, K)) for _ in _BANK_FIELDS))
+            if K else None)
         # Structure-fixed resistor noise topology: (R, 2) node-index pairs
         # (-1 marks ground, as in node_index) plus per-slice PSD constants.
         names = []
         idx = []
-        for element in template.netlist:
-            if isinstance(element, Resistor):
-                names.append(element.name)
-                idx.append((template.node_index[element.p],
-                            template.node_index[element.n]))
+        for element in template._resistors:
+            names.append(element.name)
+            idx.append((template.node_index[element.p],
+                        template.node_index[element.n]))
         self.noise_res_names: tuple[str, ...] = tuple(names)
         self.noise_res_idx = np.asarray(idx, dtype=np.intp).reshape(-1, 2)
         self.noise_res_psd = np.empty((n_designs, len(names)))
@@ -128,48 +135,60 @@ class SystemStack:
         #: per-slice ``values`` dicts.
         self.noise_res_r = np.empty((n_designs, len(names)))
 
+    def check_compatible(self, system: MnaSystem) -> None:
+        """Raise ValueError unless ``system``'s value layout is this
+        stack's (same size, device count and, when sparse, pattern)."""
+        if system.size != self.size:
+            raise ValueError("system size does not match the stack")
+        if len(system.mosfets) != (0 if self.dev is None else len(self.dev)):
+            raise ValueError("system device count does not match the stack")
+        if self.sparse and not self.template.sparse_state.same_pattern(
+                system.sparse_state):
+            raise ValueError("system sparsity pattern does not match the "
+                             "stack")
+
+    def value_rows(self, rows: slice) -> tuple[np.ndarray, ...]:
+        """``G/C/b_dc/b_ac`` of slices ``rows`` as ``(S, width)`` blocks
+        in the template's value layout (views)."""
+        return (self._Gv[rows], self._Cv[rows], self.b_dc[rows],
+                self.b_ac[rows])
+
+    def write_noise(self, rows: slice, resistance: np.ndarray,
+                    temperature: np.ndarray) -> None:
+        """Per-slice resistances and their ``4 k T / R`` noise PSDs."""
+        self.noise_res_r[rows] = resistance
+        self.noise_res_psd[rows] = (
+            4.0 * BOLTZMANN * temperature)[:, None] / resistance
+
+    def write_devices(self, rows, bank: DeviceArrays) -> None:
+        """Copy ``bank`` (fields shaped like ``dev[rows]``) into slices
+        ``rows`` of the device bank."""
+        for f in _BANK_FIELDS:
+            getattr(self.dev, f)[rows] = getattr(bank, f)
+
     def set_design(self, i: int, system: MnaSystem,
                    values: dict[str, float] | None = None) -> None:
         """Snapshot ``system``'s current values as slice ``i``."""
-        if system.size != self.size:
-            raise ValueError("system size does not match the stack")
-        if self.sparse:
-            st = self.template.sparse_state
-            self.G_pat[i] = st.gather(system.G)
-            self.C_pat[i] = st.gather(system.C)
-        else:
-            self.G[i] = system.G
-            self.C[i] = system.C
-        self.b_dc[i] = system.b_dc
-        self.b_ac[i] = system.b_ac
+        self.check_compatible(system)
+        for out, row in zip(self.value_rows(slice(i, i + 1)),
+                            system._value_rows()):
+            out[...] = row
         self.temperatures[i] = system.temperature
         self.values[i] = values
-        four_kt = 4.0 * BOLTZMANN * system.temperature
-        for r, name in enumerate(self.noise_res_names):
-            resistance = system.netlist[name].resistance
-            self.noise_res_r[i, r] = resistance
-            self.noise_res_psd[i, r] = four_kt / resistance
-        self._devs[i] = system.device_arrays
-        self._filled += 1
-        if self._filled == self.n_designs and self._devs[0] is not None:
-            self.dev = DeviceArrays.stack(self._devs)  # (B, K) fields
-
-    def reuse(self) -> None:
-        """Reset the fill counter so every slice can be re-snapshotted.
-
-        The scalar measurement path keeps one one-slice stack per
-        topology and refills it per sizing; without the reset,
-        :meth:`set_design` would skip re-stacking the device bank."""
-        self._filled = 0
+        self.write_noise(slice(i, i + 1), np.array(
+            [[r.resistance for r in system._resistors]], dtype=float),
+            np.array([system.temperature]))
+        if self.dev is not None:
+            self.write_devices(i, system.device_arrays)
 
     def resistances(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Per-slice resistance of resistor ``name`` for slices ``rows``.
 
         The batched measurement layer's element-value accessor: spec
         extraction that needs a component value (e.g. noise referral
-        through a feedback resistor) reads the value captured at
-        :meth:`set_design` time instead of requiring per-slice sizing
-        dicts — so every slice of every stack is measurable stacked.
+        through a feedback resistor) reads the value captured with the
+        slice instead of requiring per-slice sizing dicts — so every
+        slice of every stack is measurable stacked.
         """
         try:
             col = self.noise_res_names.index(name)

@@ -7,22 +7,22 @@ past a hundred unknowns: the maps cost ``O(K n^2)`` memory and the solves
 ``O(n^3)`` time, while a post-PEX mesh or an RC-interconnect chain is
 structurally ``O(n)`` sparse.
 
-This module keeps the *assembly* layer intact — the dense ``G``/``C``
-arrays of an :class:`~repro.sim.system.MnaSystem` remain the value source
-of truth, stamped by exactly the same element code — and adds a
-structure-cached sparse view on top:
+This module adds a structure-cached sparse layout underneath the shared
+assembly layer (:mod:`repro.sim.assembly`): a sparse
+:class:`~repro.sim.system.MnaSystem` keeps ``G``/``C`` only as data over
+one CSC pattern, scattered straight from the element stamp values.
 
 * :class:`SparseState` — built once per MNA *structure* (the sparse
   mirror of the dense scatter maps).  It computes one **master sparsity
   pattern** in CSC order: the union of every linear element stamp
-  (recorded by replaying ``Element.stamp`` against a pattern-recording
-  stamper), every MOSFET companion/small-signal/capacitance stamp, and
-  the full diagonal.  All sparse matrices of the structure — DC Newton
-  Jacobians, small-signal ``G_ss``/``C_ss``, AC operators
-  ``G + j w C``, transient iteration matrices — share this one pattern,
-  so per-sizing work reduces to refreshing ``.data`` vectors in place:
-  an ``O(nnz)`` gather from the dense arrays plus ``O(K)`` scatter-adds
-  of the device quantities through precomputed position indices.
+  (the positions of the system's stamp map), every MOSFET
+  companion/small-signal/capacitance stamp, and the full diagonal.  All
+  sparse matrices of the structure — DC Newton Jacobians, small-signal
+  ``G_ss``/``C_ss``, AC operators ``G + j w C``, transient iteration
+  matrices — share this one pattern, so per-sizing work reduces to
+  refreshing ``.data`` vectors: the ``O(nnz)`` linear base plus
+  ``O(K)`` scatter-adds of the device quantities through precomputed
+  position indices.
 * :class:`SparseSlice` — a lightweight per-design view over a sparse
   :class:`~repro.sim.batch.SystemStack` slice that duck-types the
   ``newton_matrices``/``residual`` surface of :class:`MnaSystem`, so the
@@ -56,45 +56,6 @@ from repro.circuits.mosfet import eval_companion_batch, eval_ids_batch
 from repro.errors import AnalysisError
 
 
-class _PatternStamper:
-    """Records *where* elements stamp, ignoring the stamped values.
-
-    Element stamps write unconditionally (values may be zero, positions
-    may not change across sizings — that is the structure contract the
-    restamp fast path already relies on), so replaying ``stamp`` once
-    against this recorder yields the exact structural sparsity pattern.
-    """
-
-    def __init__(self, system):
-        self._system = system
-        self.g: set[tuple[int, int]] = set()
-        self.c: set[tuple[int, int]] = set()
-
-    def node(self, name: str) -> int:
-        """Node name to MNA row index (ground maps to -1)."""
-        return self._system.node_index[name]
-
-    def branch(self, element) -> int:
-        """Branch-current element to its auxiliary-row index."""
-        return self._system.branch_index[element.name]
-
-    def add_g(self, i: int, j: int, value: float) -> None:
-        """Record a conductance-stamp position (values ignored)."""
-        if i >= 0 and j >= 0:
-            self.g.add((i, j))
-
-    def add_c(self, i: int, j: int, value: float) -> None:
-        """Record a capacitance-stamp position (values ignored)."""
-        if i >= 0 and j >= 0:
-            self.c.add((i, j))
-
-    def add_b_dc(self, i: int, value: float) -> None:
-        """Source stamps don't touch the matrix pattern — ignored."""
-
-    def add_b_ac(self, i: int, value: float) -> None:
-        """Source stamps don't touch the matrix pattern — ignored."""
-
-
 class SparseState:
     """Structure-cached sparse assembly state of one :class:`MnaSystem`.
 
@@ -103,7 +64,7 @@ class SparseState:
     master-pattern design.
     """
 
-    def __init__(self, system, netlist=None):
+    def __init__(self, system, entries):
         if not HAVE_SCIPY:
             raise AnalysisError(
                 "sparse engine requested but scipy is not installed "
@@ -112,13 +73,9 @@ class SparseState:
         self.n = n
         self.n_nodes = system.n_nodes
 
-        rec = _PatternStamper(system)
-        if netlist is None:
-            netlist = system.netlist
-        for element in netlist:
-            if not element.is_nonlinear:
-                element.stamp(rec)
-        entries = set(rec.g) | set(rec.c)
+        # Linear-stamp positions (from the system's stamp map), the full
+        # diagonal, and every device companion/small-signal/cap entry.
+        entries = set(entries)
         entries.update((i, i) for i in range(n))
 
         terms = system._terms_pad  # (K, 4) with ground routed to n == size
@@ -147,9 +104,11 @@ class SparseState:
         pattern.sum_duplicates()
         pattern.sort_indices()
         coo = pattern.tocoo()
-        #: Master-pattern coordinates in CSC data order (gather/densify).
+        #: Master-pattern coordinates in CSC data order (densify).
         self.pat_rows = coo.row.astype(np.intp)
         self.pat_cols = coo.col.astype(np.intp)
+        # Column-major keys, increasing in CSC data order (positions()).
+        self._keys = self.pat_cols * n + self.pat_rows
         self.indices = pattern.indices.copy()
         self.indptr = pattern.indptr.copy()
         self.nnz = pattern.nnz
@@ -211,9 +170,17 @@ class SparseState:
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- data plumbing -------------------------------------------------------
-    def gather(self, dense: np.ndarray) -> np.ndarray:
-        """Master-pattern ``.data`` vector of a dense matrix (O(nnz))."""
-        return np.ascontiguousarray(dense[self.pat_rows, self.pat_cols])
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Master-pattern data indices of entries ``(rows, cols)`` (all of
+        which must be in the pattern)."""
+        return np.searchsorted(self._keys, np.asarray(cols) * self.n
+                               + np.asarray(rows))
+
+    def same_pattern(self, other: "SparseState") -> bool:
+        """True when ``other`` shares this master pattern exactly."""
+        return other is self or (
+            other.n == self.n and np.array_equal(other.indptr, self.indptr)
+            and np.array_equal(other.indices, self.indices))
 
     def matrix(self, data: np.ndarray):
         """CSC matrix over the master pattern with the given ``.data``."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.circuits.netlist import Netlist
+from repro.sim.assembly import SliceReads
 from repro.sim.system import MnaSystem, StructureMismatch
 from repro.units import ROOM_TEMPERATURE
 
@@ -69,26 +70,43 @@ class StampPlan:
         a later call restamps it in place, so callers must extract what
         they need (specs, operating point copies) before re-invoking.
         """
+        system = self._bind_values(values)
+        system._refresh_values()
+        return system
+
+    def restamp_netlist(self, netlist: Netlist) -> MnaSystem:
+        """Like :meth:`restamp` for an already-built netlist (used by
+        mismatch Monte Carlo, which perturbs netlists directly)."""
+        system = self._bind_netlist(netlist)
+        system._refresh_values()
+        return system
+
+    def _bind_values(self, values: dict[str, float]) -> MnaSystem:
+        """Bind the sizing ``values`` (in-place update or rebuild) without
+        refreshing the system's value arrays."""
         if (self._system is not None and self.updater is not None
                 and self._netlist is not None
                 and self._system.netlist is self._netlist
                 and self.updater(self._netlist, values)):
             self.restamps += 1
-            return self._system.rebind_values()
+            self._system._demote_changed()
+            return self._system
         netlist = self.builder(values)
         self._netlist = netlist
-        return self.restamp_netlist(netlist)
+        return self._bind_netlist(netlist)
 
-    def restamp_netlist(self, netlist: Netlist) -> MnaSystem:
-        """Like :meth:`restamp` for an already-built netlist (used by
-        mismatch Monte Carlo, which perturbs netlists directly)."""
+    def _bind_netlist(self, netlist: Netlist) -> MnaSystem:
+        """Bind ``netlist`` to the cached structure (rebuilding it on
+        structural drift) without refreshing the value arrays."""
         if self._system is not None:
             try:
-                self._system.restamp(netlist)
-                self.restamps += 1
-                return self._system
+                self._system._check_structure(netlist)
             except StructureMismatch:
                 self._system = None
+            else:
+                self._system._attach(netlist)
+                self.restamps += 1
+                return self._system
         self._system = MnaSystem(netlist, temperature=self.temperature,
                                  engine=self.engine)
         self.rebuilds += 1
@@ -96,21 +114,43 @@ class StampPlan:
 
     def stack(self, values_list, into=None, offset: int = 0,
               n_slices: int | None = None, n_corners: int = 1):
-        """Restamp every sizing in ``values_list`` and snapshot the results
-        into a :class:`~repro.sim.batch.SystemStack`.
+        """Stamp every sizing in ``values_list`` into a
+        :class:`~repro.sim.batch.SystemStack` in one pass.
 
-        ``into``/``offset`` let multi-plan callers (the corner-stacked PEX
-        sweep) fill one shared stack from several plans: the first call
-        creates the stack sized ``n_slices`` (default ``len(values_list)``),
-        later calls append at ``offset``.  Returns the stack.
+        Per sizing only the netlist update (or rebuild) and the reads of
+        element values run in Python; the stack's ``G/C/b``, device bank
+        and noise constants are then written for all slices at once (see
+        :mod:`repro.sim.assembly`).  ``into``/``offset`` let multi-plan
+        callers (the corner-stacked PEX sweep) fill one shared stack from
+        several plans: the first call creates the stack sized ``n_slices``
+        (default ``len(values_list)``), later calls append at ``offset``.
+        Returns the stack.
         """
+        return self._fill(values_list, self._bind_values, values_list,
+                          into, offset, n_slices, n_corners)
+
+    def stack_netlists(self, netlists, values=None):
+        """:meth:`stack` for already-built netlists (mismatch Monte Carlo
+        chunks); every slice records the sizing ``values``."""
+        return self._fill(netlists, self._bind_netlist,
+                          [values] * len(netlists), None, 0, None, 1)
+
+    def _fill(self, items, bind, values_list, into, offset, n_slices,
+              n_corners):
         from repro.sim.batch import SystemStack
-        for i, values in enumerate(values_list):
-            system = self.restamp(values)
+        reads = SliceReads()
+        system = None
+        for item, values in zip(items, values_list):
+            system = bind(item)
             if into is None:
-                into = SystemStack(system, n_slices or len(values_list),
+                into = SystemStack(system, n_slices or len(items),
                                    n_corners=n_corners)
-            into.set_design(offset + i, system, values=values)
+            reads.add(system, values)
+        reads.write(into, offset)
+        if system is not None:
+            # Leave the plan's system holding the last slice, as a
+            # restamp would have.
+            system._refresh_values()
         return into
 
     @property

@@ -1,7 +1,7 @@
 """Modified nodal analysis (MNA) system assembly.
 
 :class:`MnaSystem` turns a :class:`~repro.circuits.netlist.Netlist` into
-dense numpy matrices:
+MNA matrices (dense numpy arrays, or CSC pattern data on the sparse legs):
 
 * ``G`` — conductance matrix (linear elements only),
 * ``C`` — capacitance/inductance matrix,
@@ -24,7 +24,9 @@ cost twice:
 * **values** — the ``G/C/b`` entries and the stacked per-device constants
   (:class:`~repro.circuits.mosfet.DeviceArrays`).  Refreshed in place by
   :meth:`MnaSystem.restamp` for any netlist with the same structure
-  signature (same elements, same nodes — only element values changed).
+  signature (same elements, same nodes — only element values changed),
+  as a one-slice fill of the structure's
+  :class:`~repro.sim.assembly.StampMap`.
 
 Scatter maps
 ------------
@@ -42,13 +44,14 @@ linear algebra (and dense scatter maps) is both simpler and faster than
 sparse there — but post-PEX mesh netlists and the RC-interconnect chain
 scenarios reach hundreds of unknowns, where both stop scaling.  Each
 system therefore carries an *engine* flag (:mod:`repro.sim.engine`,
-``REPRO_ENGINE=auto|dense|sparse|iterative``): sparse systems keep the
-dense ``G/C/b`` arrays as the stamped value source of truth but factor
-their Newton/AC/transient operators through the structure-cached CSC
-pattern of :class:`repro.sim.sparse.SparseState` (one fixed sparsity
-pattern per structure, ``.data`` refreshed in place per sizing) and never
-build the large dense scatter maps, which are lazy for exactly that
-reason.  The ``iterative`` leg shares that CSC assembly but replaces the
+``REPRO_ENGINE=auto|dense|sparse|iterative``): sparse systems hold
+``G/C`` only as data over the structure-cached CSC pattern of
+:class:`repro.sim.sparse.SparseState` (one fixed sparsity pattern per
+structure), written by the same one-scatter assembly as the dense
+arrays (:mod:`repro.sim.assembly`), factor their Newton/AC/transient
+operators on that pattern, and never build an ``n x n`` array or the
+large dense scatter maps, which are lazy for exactly that reason.
+The ``iterative`` leg shares that CSC assembly but replaces the
 ``splu`` factorisations with ILU-preconditioned Krylov solves
 (:mod:`repro.sim.krylov`) for the 10^4-unknown mesh scenarios where
 direct factorisation walls.
@@ -58,7 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits.elements import Element
+from repro.circuits.elements import Resistor
 from repro.circuits.mosfet import (
     _TERMINAL_MAP as _TERM_MAP,
     _forward_core_ws,
@@ -78,6 +81,7 @@ from repro.circuits.mosfet import (
 from repro.circuits.netlist import GROUND, Netlist
 from repro.errors import NetlistError
 from repro.sim import sparse as sparse_engine
+from repro.sim.assembly import StampMap
 from repro.sim.engine import resolve_engine
 from repro.units import ROOM_TEMPERATURE
 
@@ -86,40 +90,6 @@ class StructureMismatch(NetlistError):
     """A netlist handed to :meth:`MnaSystem.restamp` has a different
     structure (element names/kinds/nodes) than the one the system was
     built from."""
-
-
-class _Stamper:
-    """Accumulates element stamps into an :class:`MnaSystem`'s arrays."""
-
-    def __init__(self, system: "MnaSystem", G: np.ndarray, C: np.ndarray,
-                 b_dc: np.ndarray, b_ac: np.ndarray):
-        self._system = system
-        self._G = G
-        self._C = C
-        self._b_dc = b_dc
-        self._b_ac = b_ac
-
-    def node(self, name: str) -> int:
-        return self._system.node_index[name]
-
-    def branch(self, element: Element) -> int:
-        return self._system.branch_index[element.name]
-
-    def add_g(self, i: int, j: int, value: float) -> None:
-        if i >= 0 and j >= 0:
-            self._G[i, j] += value
-
-    def add_c(self, i: int, j: int, value: float) -> None:
-        if i >= 0 and j >= 0:
-            self._C[i, j] += value
-
-    def add_b_dc(self, i: int, value: float) -> None:
-        if i >= 0:
-            self._b_dc[i] += value
-
-    def add_b_ac(self, i: int, value: float) -> None:
-        if i >= 0:
-            self._b_ac[i] += value
 
 
 class MnaSystem:
@@ -136,9 +106,9 @@ class MnaSystem:
     engine:
         ``"dense"``/``"sparse"`` force a linear-algebra backend; None (the
         default) resolves ``REPRO_ENGINE`` at construction time — see
-        :mod:`repro.sim.engine`.  Sparse systems expose the same stamped
-        ``G/C/b`` arrays but factor their solves through
-        :class:`repro.sim.sparse.SparseState`.
+        :mod:`repro.sim.engine`.  Sparse systems store ``G/C`` as
+        :class:`repro.sim.sparse.SparseState` pattern data (the ``G``/``C``
+        properties densify a read-only copy) and factor through it.
 
     Re-stamping
     -----------
@@ -184,37 +154,6 @@ class MnaSystem:
                                    self._mos_terms)
         self._build_scatter_maps()
 
-        self.G = np.zeros((self.size, self.size))
-        self.C = np.zeros((self.size, self.size))
-        self.b_dc = np.zeros(self.size)
-        self.b_ac = np.zeros(self.size, dtype=complex)
-        self._stamper = _Stamper(self, self.G, self.C, self.b_dc, self.b_ac)
-        # Frozen stamp of the sizing-invariant elements (see _bind).
-        self._G0 = np.zeros_like(self.G)
-        self._C0 = np.zeros_like(self.C)
-        self._b_dc0 = np.zeros_like(self.b_dc)
-        self._b_ac0 = np.zeros_like(self.b_ac)
-        self._base_stamper = _Stamper(self, self._G0, self._C0,
-                                      self._b_dc0, self._b_ac0)
-
-        n1 = self.size + 1
-        self._A_pad = np.zeros((n1, n1))
-        self._rhs_pad = np.zeros(n1)
-        self._x_pad = np.zeros(n1)
-        self._diag = np.arange(self.n_nodes)
-        K = len(self._terms_pad)
-        self._ws = ChannelWorkspace(K) if K else None
-        self._V_buf = np.empty((K, 4))
-        self._Aflat_buf = np.empty(n1 * n1)
-        self._rhs_buf = np.empty(n1)
-        self._dyn_cols: np.ndarray | None = None
-        self._ss_memo: tuple | None = None  # (op, G_ss, C_ss) of last call
-        self._ss_stash: tuple | None = None  # (dev, x) behind _g3/_c4 bufs
-        self._Gss_pad = np.zeros((n1, n1))
-        self._Css_pad = np.zeros((n1, n1))
-        self._g3_buf = np.empty((K, 3))
-        self._c4_buf = np.empty((K, 4))
-
         #: Resolved engine leg: "dense", "sparse" or "iterative".
         self.engine = resolve_engine(self.size, engine)
         if not sparse_engine.HAVE_SCIPY:
@@ -224,8 +163,44 @@ class MnaSystem:
         self.sparse = self.engine != "dense"
         #: True when solves run ILU-preconditioned Krylov iteration.
         self.iterative = self.engine == "iterative"
-        self.sparse_state = (sparse_engine.SparseState(self, netlist)
-                             if self.sparse else None)
+        #: Where every linear element stamps (see repro.sim.assembly).
+        self._stamp_map = StampMap(
+            self, tuple(e for e in netlist if not e.is_nonlinear))
+        self.sparse_state = (
+            sparse_engine.SparseState(self, self._stamp_map.matrix_entries())
+            if self.sparse else None)
+        self._stamp_map.resolve(self.sparse_state)
+        # Value arrays in the engine's layout: flattened n x n matrices on
+        # the dense leg, master-pattern data on the sparse legs (which
+        # never hold an n x n array; ``G``/``C`` densify on access).
+        width = self._stamp_map.widths[0]
+        self._Gv = np.zeros(width)
+        self._Cv = np.zeros(width)
+        self.b_dc = np.zeros(self.size)
+        self.b_ac = np.zeros(self.size, dtype=complex)
+        self._G_csc = None                          # lazy residual operator
+
+        n1 = self.size + 1
+        self._rhs_pad = np.zeros(n1)
+        self._x_pad = np.zeros(n1)
+        self._diag = np.arange(self.n_nodes)
+        K = len(self._terms_pad)
+        self._ws = ChannelWorkspace(K) if K else None
+        self._V_buf = np.empty((K, 4))
+        self._rhs_buf = np.empty(n1)
+        self._dyn_cols: np.ndarray | None = None
+        self._ss_memo: tuple | None = None  # (op, G_ss, C_ss) of last call
+        self._ss_stash: tuple | None = None  # (dev, x) behind _g3/_c4 bufs
+        self._g3_buf = np.empty((K, 3))
+        self._c4_buf = np.empty((K, 4))
+        if not self.sparse:
+            self._G = self._Gv.reshape(self.size, self.size)
+            self._C = self._Cv.reshape(self.size, self.size)
+            self._A_pad = np.zeros((n1, n1))
+            self._Aflat_buf = np.empty(n1 * n1)
+            self._Gss_pad = np.zeros((n1, n1))
+            self._Css_pad = np.zeros((n1, n1))
+
         if self.iterative:
             from repro.sim.krylov import KrylovState
             #: Drift-gated ILU cache + solve counters; deliberately
@@ -233,8 +208,6 @@ class MnaSystem:
             self.krylov_state = KrylovState(self.sparse_state)
         else:
             self.krylov_state = None
-        self._sp_Gdata: np.ndarray | None = None   # master-pattern G gather
-        self._sp_Cdata: np.ndarray | None = None   # master-pattern C gather
         self._ss_sparse_memo: tuple | None = None  # (op, G_csc, C_csc)
         self._sp_lu_memo: tuple | None = None      # (op, freqs, [splu])
 
@@ -328,12 +301,19 @@ class MnaSystem:
 
     def _bind(self, netlist: Netlist) -> None:
         """Point the system at ``netlist``'s values: refresh the stacked
-        device constants and re-stamp every linear element.
+        device constants and re-stamp every linear element."""
+        self._attach(netlist)
+        self._refresh_values()
+
+    def _attach(self, netlist: Netlist) -> None:
+        """Bind ``netlist`` and partition its linear elements, without
+        touching the value arrays.
 
         Elements advertising a :meth:`Element.stamp_key` are assumed
         *constant* until a key change is observed; their combined stamp is
-        frozen into base matrices so a steady-state rebind re-stamps only
-        the handful of elements a sizing actually varies.
+        frozen into a base (:class:`~repro.sim.assembly.StampBase`) so a
+        steady-state rebind re-stamps only the handful of elements a
+        sizing actually varies.
         """
         self.netlist = netlist
         self.mosfets: tuple[Mosfet, ...] = tuple(
@@ -341,27 +321,39 @@ class MnaSystem:
         # Nonlinear devices stamp nothing linear (their whole contribution
         # is the Newton companion model), so value stamping skips them.
         self._linear = tuple(e for e in netlist if not e.is_nonlinear)
-        self._const_elems: list = []
-        self._var_elems: list = []
-        self._elem_keys: dict[str, object] = {}
-        for element in self._linear:
+        self._resistors = tuple(e for e in self._linear
+                                if isinstance(e, Resistor))
+        const, var, keys = [], [], []
+        for index, element in enumerate(self._linear):
             key = element.stamp_key()
             if key is None:
-                self._var_elems.append(element)
+                var.append(index)
             else:
-                self._const_elems.append(element)
-                self._elem_keys[element.name] = key
-        self._rebuild_base()
-        self._refresh_values()
+                const.append(index)
+                keys.append(key)
+        self._part = self._stamp_map.partition(
+            self._linear, tuple(const), tuple(var), keys)
 
-    def _rebuild_base(self) -> None:
-        """Stamp the currently-constant elements into the base matrices."""
-        self._G0.fill(0.0)
-        self._C0.fill(0.0)
-        self._b_dc0.fill(0.0)
-        self._b_ac0.fill(0.0)
-        for element in self._const_elems:
-            element.stamp(self._base_stamper)
+    def _demote_changed(self) -> None:
+        """Move every constant element whose stamp key changed to the
+        variable list (appended in element order; one-time cost)."""
+        part = self._part
+        if not part.const:
+            return
+        keys = [element.stamp_key() for element in part.const_elems]
+        if keys == part.keys:
+            return
+        const, const_keys, demoted = [], [], []
+        for index, old, new in zip(part.const, part.keys, keys):
+            if new != old:
+                demoted.append(index)
+            else:
+                const.append(index)
+                const_keys.append(old)
+        if demoted:
+            self._part = self._stamp_map.partition(
+                self._linear, tuple(const), part.var + tuple(demoted),
+                const_keys)
 
     def _refresh_values(self) -> None:
         """Recompute everything value-dependent from the bound netlist."""
@@ -370,14 +362,21 @@ class MnaSystem:
         self._ss_memo = None
         self._ss_sparse_memo = None
         self._sp_lu_memo = None
-        self._sp_Gdata = None
-        self._sp_Cdata = None
-        np.copyto(self.G, self._G0)
-        np.copyto(self.C, self._C0)
-        np.copyto(self.b_dc, self._b_dc0)
-        np.copyto(self.b_ac, self._b_ac0)
-        for element in self._var_elems:
-            element.stamp(self._stamper)
+        self._G_csc = None
+        part = self._part
+        part.fill(self._value_rows(),
+                  np.array(part.read(), dtype=float).reshape(1, -1))
+
+    def _value_rows(self) -> tuple[np.ndarray, ...]:
+        """The four value arrays as one-slice ``(1, width)`` blocks."""
+        return (self._Gv[None], self._Cv[None],
+                self.b_dc[None], self.b_ac[None])
+
+    def _check_structure(self, netlist: Netlist) -> None:
+        if netlist.structure_signature() != self._signature:
+            raise StructureMismatch(
+                f"netlist {netlist.title!r} does not match the structure "
+                f"this MnaSystem was built from")
 
     def restamp(self, netlist: Netlist) -> "MnaSystem":
         """Refresh ``G/C/b`` in place from a same-structure netlist.
@@ -387,10 +386,7 @@ class MnaSystem:
         :class:`StructureMismatch` when the netlist's structure signature
         differs (callers fall back to a fresh :class:`MnaSystem`).
         """
-        if netlist.structure_signature() != self._signature:
-            raise StructureMismatch(
-                f"netlist {netlist.title!r} does not match the structure "
-                f"this MnaSystem was built from")
+        self._check_structure(netlist)
         self._bind(netlist)
         return self
 
@@ -403,21 +399,29 @@ class MnaSystem:
         in-place sizing updates (:meth:`Topology.update_netlist`).  An
         element whose :meth:`~Element.stamp_key` changed is demoted from
         the frozen base to the per-rebind stamp list (one-time cost)."""
-        demoted = False
-        if self._const_elems:
-            keep = []
-            for element in self._const_elems:
-                if element.stamp_key() != self._elem_keys[element.name]:
-                    self._var_elems.append(element)
-                    del self._elem_keys[element.name]
-                    demoted = True
-                else:
-                    keep.append(element)
-            if demoted:
-                self._const_elems = keep
-                self._rebuild_base()
+        self._demote_changed()
         self._refresh_values()
         return self
+
+    @property
+    def G(self) -> np.ndarray:
+        """Conductance matrix ``(n, n)``.  Sparse systems hold only the
+        master-pattern data and return a read-only densified copy."""
+        if not self.sparse:
+            return self._G
+        return self._densified(self._Gv)
+
+    @property
+    def C(self) -> np.ndarray:
+        """Capacitance matrix ``(n, n)`` (read-only copy when sparse)."""
+        if not self.sparse:
+            return self._C
+        return self._densified(self._Cv)
+
+    def _densified(self, data: np.ndarray) -> np.ndarray:
+        dense = self.sparse_state.densify(data)
+        dense.flags.writeable = False
+        return dense
 
     @property
     def device_arrays(self) -> DeviceArrays | None:
@@ -477,7 +481,7 @@ class MnaSystem:
         size = self.size
         A = self._A_pad
         A.fill(0.0)
-        A[:size, :size] = self.G
+        A[:size, :size] = self._G
         rhs = self._rhs_pad
         rhs[:size] = self.b_dc
         if source_scale != 1.0:
@@ -501,9 +505,9 @@ class MnaSystem:
 
     def _newton_matrices_sparse(self, x: np.ndarray, gmin: float,
                                 source_scale: float):
-        """Sparse :meth:`newton_matrices`: one master-pattern ``.data``
-        refresh (O(nnz) gather + O(K) device scatter-adds) instead of a
-        dense ``(n+1)^2`` fill and scatter matmul."""
+        """Sparse :meth:`newton_matrices`: the master-pattern ``G`` data
+        plus O(K) device scatter-adds instead of a dense ``(n+1)^2`` fill
+        and scatter matmul."""
         st = self.sparse_state
         rhs = source_scale * self.b_dc
         if self._dev is not None:
@@ -529,16 +533,12 @@ class MnaSystem:
         return st.matrix(data), rhs
 
     def _sparse_G_data(self) -> np.ndarray:
-        """Master-pattern gather of ``G`` (cached until the next restamp)."""
-        if self._sp_Gdata is None:
-            self._sp_Gdata = self.sparse_state.gather(self.G)
-        return self._sp_Gdata
+        """Master-pattern data of ``G`` (read-only by convention)."""
+        return self._Gv
 
     def _sparse_C_data(self) -> np.ndarray:
-        """Master-pattern gather of ``C`` (cached until the next restamp)."""
-        if self._sp_Cdata is None:
-            self._sp_Cdata = self.sparse_state.gather(self.C)
-        return self._sp_Cdata
+        """Master-pattern data of ``C`` (read-only by convention)."""
+        return self._Cv
 
     def residual(self, x: np.ndarray, source_scale: float = 1.0) -> np.ndarray:
         """KCL/KVL residual ``F(x) = G x + i_nl(x) - b`` (amps / volts).
@@ -551,7 +551,12 @@ class MnaSystem:
         solution vector; a cache, not an approximation).  Reverse-biased
         devices fall back to the current-only evaluation.
         """
-        f = self.G @ x - source_scale * self.b_dc
+        if self.sparse:
+            if self._G_csc is None:
+                self._G_csc = self.sparse_state.matrix(self._Gv)
+            f = self._G_csc @ x - source_scale * self.b_dc
+        else:
+            f = self._G @ x - source_scale * self.b_dc
         dev, ws = self._dev, self._ws
         if dev is None:
             return f
@@ -669,10 +674,10 @@ class MnaSystem:
         g3, c4 = self._ss_values_for(op)
         Gp, Cp = self._Gss_pad, self._Css_pad
         Gp.fill(0.0)
-        Gp[:size, :size] = self.G
+        Gp[:size, :size] = self._G
         Gp.reshape(-1)[:] += g3 @ self.ss_map
         Cp.fill(0.0)
-        Cp[:size, :size] = self.C
+        Cp[:size, :size] = self._C
         Cp.reshape(-1)[:] += c4 @ self.cap_map
         G_ss = Gp[:size, :size].copy()
         C_ss = Cp[:size, :size].copy()
@@ -750,7 +755,7 @@ class MnaSystem:
         arrays = self.mosfet_state_arrays(x)
         n1 = size + 1
         Cp = np.zeros((n1, n1))
-        Cp[:size, :size] = self.C
+        Cp[:size, :size] = self._C
         c4 = np.stack([arrays["cgs"], arrays["cgd"], arrays["cdb"],
                        arrays["csb"]], axis=-1).reshape(-1)
         Cp.reshape(-1)[:] += c4 @ self.cap_map

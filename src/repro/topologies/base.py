@@ -141,8 +141,6 @@ class Topology(abc.ABC):
         if stack is None or stack.template is not system:
             stack = SystemStack(system, 1)
             self._scalar_stack = stack
-        else:
-            stack.reuse()
         stack.set_design(0, system)
         ctx = MeasureContext(self, stack, np.zeros(1, dtype=np.intp),
                              op.x[np.newaxis, :])

@@ -33,6 +33,13 @@ def devices():
     return mosfets, DeviceArrays.from_mosfets(mosfets)
 
 
+def _stacked(mosfets, B):
+    """``(B, K)`` bank of B copies of ``mosfets``."""
+    return DeviceArrays.from_devices(
+        [m.params for m in mosfets] * B,
+        [(m.w, m.l, m.m, m._sign) for m in mosfets] * B, (B, len(mosfets)))
+
+
 def _scalar_companion(mosfet, v_row):
     get = dict(zip("dgsb", v_row)).__getitem__
     return mosfet.eval_companion(get)
@@ -74,7 +81,7 @@ class TestCompanionEquivalence:
         mosfets, dev = devices
         rng = np.random.default_rng(2)
         B = 6
-        stacked = DeviceArrays.stack([dev] * B)
+        stacked = _stacked(mosfets, B)
         V = rng.uniform(-1.5, 1.5, size=(B, len(mosfets), 4))
         i_d, g = eval_companion_batch(stacked, V)
         for b in range(B):
@@ -83,8 +90,8 @@ class TestCompanionEquivalence:
             np.testing.assert_array_equal(g[b], g_ref)
 
     def test_take_subsets_rows(self, devices):
-        _, dev = devices
-        stacked = DeviceArrays.stack([dev] * 5)
+        mosfets, _ = devices
+        stacked = _stacked(mosfets, 5)
         sub = stacked.take(np.array([0, 3]))
         np.testing.assert_array_equal(sub.beta, stacked.beta[[0, 3]])
 
